@@ -1,7 +1,5 @@
-//! Shared scheduler workload shapes, used by both `benches/scheduler.rs`
-//! (criterion, exploratory) and `piom-harness bench` (the recorded
-//! `BENCH_pioman.json` trajectory). One definition per scenario: changing
-//! a load size or drain bound here changes both instruments together.
+//! Scheduler workload shapes behind `piom-harness bench` (the recorded
+//! `BENCH_pioman.json` trajectory), one definition per scenario.
 //!
 //! The [`HIGH_VARIANCE`] / [`TAIL_GATED`] tag lists below cover only the
 //! *bench* rows. The simulated workload matrix (`piom-harness scenarios`,
@@ -34,17 +32,11 @@ pub const HIGH_VARIANCE: &[&str] = &[
     // shared-runner noise of every other host-timed row.
     "newmad_bandwidth_ladder",
     "newmad_multirail_crossover",
-    "lockfree_vs_mutex",
-    "lockfree_vs_mutex_baseline",
-    "relaxed_vs_seqcst_contended",
-    "relaxed_vs_seqcst_contended_baseline",
     "stats_sharding_contended",
     "stats_sharding_contended_baseline",
-    // The manycore re-records of the two PR-5 ablations: same algorithms,
-    // 16 threads oversubscribed on the shared runner — scheduling jitter
-    // *is* the workload, so their quick-mode numbers swing hardest of all.
-    "relaxed_vs_seqcst_manycore",
-    "relaxed_vs_seqcst_manycore_baseline",
+    // The manycore re-record of the false-sharing ablation: 16 threads
+    // oversubscribed on the shared runner — scheduling jitter *is* the
+    // workload, so its quick-mode numbers swing hardest of all.
     "stats_sharding_manycore",
     "stats_sharding_manycore_baseline",
     "newmad_rail_ladder",
@@ -73,7 +65,6 @@ pub const TAIL_GATED: &[&str] = &[
     "park_wake_latency",
     "phase_shift_ramp",
     "phase_shift_ramp_cumulative",
-    "qos_class_mix",
     "qos_class_mix_spinlock",
     "qos_waitlist_chain",
     // The socket-tier scaling ladder: single-threaded deterministic

@@ -16,7 +16,11 @@
 //!   locality is preserved and lock contention stays between neighbouring
 //!   cores (paper §III-A, Fig. 2);
 //! * dequeueing uses the paper's **Algorithm 2**: test emptiness without the
-//!   lock, lock only when the queue looks non-empty, re-check under the lock;
+//!   lock, lock only when the queue looks non-empty, re-check under the lock.
+//!   Every queue (and every socket overflow) is one set of per-class lanes
+//!   behind one spinlock; the lock-free queues of the paper's §VI future
+//!   work are not shipped — they lost to the spinlock on this design's own
+//!   benchmarks (`DESIGN.md` §6);
 //! * execution follows **Algorithm 1**: a core scans from its own per-core
 //!   queue up to the global queue, running everything it may;
 //! * the thread scheduler calls the task manager at **keypoints** — CPU
@@ -82,7 +86,6 @@
 
 pub mod counters;
 pub mod hist;
-pub mod lockfree;
 pub mod spinlock;
 
 mod completion;
@@ -96,12 +99,12 @@ mod task;
 pub use completion::{TaskError, TaskHandle};
 pub use hist::{HistSnapshot, Histogram, PercentileSummary};
 pub use manager::{
-    HookPoint, ManagerConfig, QueueBackend, SubmitSpec, TaskManager, DEFAULT_BATCH,
-    DEFAULT_CONTENTION_HALF_LIFE, DEFAULT_CROSS_SOCKET_BACKLOG, DEFAULT_SPILL_THRESHOLD,
-    DEFAULT_STEAL_WAKE_BACKLOG, MAX_BATCH, MIN_BATCH,
+    HookPoint, ManagerConfig, SubmitSpec, TaskManager, DEFAULT_BATCH, DEFAULT_CONTENTION_HALF_LIFE,
+    DEFAULT_CROSS_SOCKET_BACKLOG, DEFAULT_SPILL_THRESHOLD, DEFAULT_STEAL_WAKE_BACKLOG, MAX_BATCH,
+    MIN_BATCH,
 };
 pub use progression::{BatchPolicy, Progression, ProgressionConfig, MAX_PROBE_STRIKES};
-pub use queue::QueueId;
+pub use queue::{pick_class, QueueId, BACKGROUND_BYPASS_LIMIT, DL_LANES};
 pub use signal::{ContentionWindow, SignalPolicy, AUTO_HALF_LIFE_MAX, AUTO_HALF_LIFE_MIN, FP_ONE};
 pub use stats::{ManagerStats, QueueStats, SocketStats};
 pub use task::{Task, TaskClass, TaskContext, TaskOptions, TaskStatus, CLASS_COUNT};

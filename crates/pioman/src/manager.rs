@@ -1,9 +1,9 @@
 //! The task manager: hierarchical queues + Algorithms 1 and 2.
 
 use crate::completion::Completion;
-use crate::lockfree::ClassLanes;
-use crate::queue::{QueueId, TaskQueue, SPAN_WORDS};
+use crate::queue::{QueueId, SeqLanes, TaskQueue, SPAN_WORDS};
 use crate::signal::{ContentionWindow, SignalPolicy};
+use crate::spinlock::SpinLock;
 use crate::stats::{ManagerStats, QueueStats, SocketStats};
 use crate::task::{Task, TaskClass, TaskContext, TaskFn, TaskOptions, TaskStatus, CLASS_COUNT};
 use crate::TaskHandle;
@@ -15,24 +15,6 @@ use piom_topology::{Level, NodeId, Topology};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread::Thread;
-
-/// Which storage backs the task queues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueueBackend {
-    /// FIFO list + TTAS spinlock with double-checked dequeue (the paper's
-    /// implementation, §IV-A).
-    #[default]
-    Spinlock,
-    /// True lock-free Michael–Scott queue with epoch-based reclamation
-    /// (the paper's §VI "short term" future work; compared against
-    /// spinlocks and the mutexed baseline by the ablation benches).
-    LockFree,
-    /// OS mutex around a `VecDeque`, locked on every operation — the
-    /// shim that previously backed [`QueueBackend::LockFree`], kept as an
-    /// ablation baseline so `lockfree_vs_mutex` measures what replacing
-    /// it bought.
-    Mutex,
-}
 
 /// Smallest per-keypoint budget [`TaskManager::adaptive_budget`] returns:
 /// even an apparently-empty hierarchy gets a few slots, because work can
@@ -82,9 +64,6 @@ pub const DEFAULT_CROSS_SOCKET_BACKLOG: usize = 1;
 /// Task-manager construction options.
 #[derive(Debug, Clone)]
 pub struct ManagerConfig {
-    /// Queue storage choice, compared head-to-head by the
-    /// `lockfree_vs_mutex` bench scenarios.
-    pub queue_backend: QueueBackend,
     /// Locality-aware work stealing: when a core's own hierarchy scan
     /// (Algorithm 1) finds nothing runnable, it probes the other queues in
     /// [`Topology::steal_order`] — nearest sibling first, deepest backlog
@@ -117,7 +96,7 @@ pub struct ManagerConfig {
     pub latency_histogram: bool,
     /// The **per-socket overflow tier** (on by default): each NUMA node
     /// (falling back to chips, then the whole machine, on shallower trees)
-    /// gets a socket-shared set of lock-free class lanes. A per-core queue
+    /// gets a socket-shared set of spinlocked class lanes. A per-core queue
     /// whose depth crosses [`spill_threshold`](Self::spill_threshold)
     /// spills half its backlog there — lowest class first, QoS lanes
     /// preserved — instead of letting it age behind the queue's own core;
@@ -146,7 +125,6 @@ pub struct ManagerConfig {
 impl Default for ManagerConfig {
     fn default() -> Self {
         ManagerConfig {
-            queue_backend: QueueBackend::default(),
             steal: true,
             signal: SignalPolicy::default(),
             contention_half_life: DEFAULT_CONTENTION_HALF_LIFE,
@@ -367,11 +345,13 @@ struct SocketTier {
     node: u32,
     /// Cores the socket spans.
     cpuset: CpuSet,
-    /// The overflow lanes: the same lock-free [`ClassLanes`] the LockFree
-    /// queue backend uses, so spilled tasks keep their QoS class and
-    /// deadline lane across the spill (boxed: the lanes are several cache
-    /// lines of per-class queues, cold for every socket but the busy one).
-    overflow: Box<ClassLanes<Task>>,
+    /// The overflow lanes: the same spinlocked [`SeqLanes`] every queue
+    /// uses, so spilled tasks keep their QoS class and deadline lane across
+    /// the spill. Lock order: this lock is never held while a queue lock is
+    /// held or a task body runs — spills lock the member queue, release it,
+    /// then lock the overflow; claims pop under the lock and release it
+    /// before running the task.
+    overflow: CachePadded<SpinLock<SeqLanes>>,
     /// Depth of `overflow` (racy hint, same contract as queue len hints).
     overflow_len: CachePadded<AtomicUsize>,
     /// Union of the cpusets of tasks spilled into `overflow`, decayed when
@@ -404,7 +384,7 @@ impl SocketTier {
         SocketTier {
             node,
             cpuset,
-            overflow: Box::new(ClassLanes::new()),
+            overflow: CachePadded::new(SpinLock::new(SeqLanes::new())),
             overflow_len: CachePadded::new(AtomicUsize::new(0)),
             overflow_span: CachePadded::new(std::array::from_fn(|_| AtomicU64::new(0))),
             pending: CachePadded::new(AtomicI64::new(0)),
@@ -549,18 +529,7 @@ impl TaskManager {
         let queues = topo
             .iter()
             .map(|(id, node)| {
-                let qid = QueueId(id.index() as u32);
-                match config.queue_backend {
-                    QueueBackend::Spinlock => {
-                        TaskQueue::new_spin(qid, node.level, node.cpuset, n_cores)
-                    }
-                    QueueBackend::LockFree => {
-                        TaskQueue::new_lockfree(qid, node.level, node.cpuset, n_cores)
-                    }
-                    QueueBackend::Mutex => {
-                        TaskQueue::new_mutex(qid, node.level, node.cpuset, n_cores)
-                    }
-                }
+                TaskQueue::new(QueueId(id.index() as u32), node.level, node.cpuset, n_cores)
             })
             .collect();
         let cores = (0..n_cores)
@@ -768,72 +737,6 @@ impl TaskManager {
         }
     }
 
-    /// Submits a task runnable by any core in `cpuset`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cpuset` contains no core of this machine.
-    #[deprecated(since = "0.1.0", note = "use `mgr.task(body).cpuset(..).spawn()`")]
-    pub fn submit<F>(&self, body: F, cpuset: CpuSet, options: TaskOptions) -> TaskHandle
-    where
-        F: FnMut(&TaskContext<'_>) -> TaskStatus + Send + 'static,
-    {
-        self.task(body).cpuset(cpuset).options(options).spawn()
-    }
-
-    /// [`task_boxed`](Self::task_boxed) + [`SubmitSpec::spawn`] in one call.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `mgr.task_boxed(body).cpuset(..).spawn()`"
-    )]
-    pub fn submit_boxed(&self, body: TaskFn, cpuset: CpuSet, options: TaskOptions) -> TaskHandle {
-        self.task_boxed(body)
-            .cpuset(cpuset)
-            .options(options)
-            .spawn()
-    }
-
-    /// Submits to the Global Queue: runnable by every core. Used when no
-    /// idle core was found at submission time (§IV-B).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `mgr.task(body).spawn()` (every core is the default cpuset)"
-    )]
-    pub fn submit_global<F>(&self, body: F, options: TaskOptions) -> TaskHandle
-    where
-        F: FnMut(&TaskContext<'_>) -> TaskStatus + Send + 'static,
-    {
-        self.task(body).options(options).spawn()
-    }
-
-    /// Submits a task with a *home-core placement hint* (see
-    /// [`SubmitSpec::on_core`] for the placement contract).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `home` is outside the topology or not contained in
-    /// `cpuset` (a home the task may never run on would strand it).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `mgr.task(body).cpuset(..).on_core(home).spawn()`"
-    )]
-    pub fn submit_on<F>(
-        &self,
-        body: F,
-        home: usize,
-        cpuset: CpuSet,
-        options: TaskOptions,
-    ) -> TaskHandle
-    where
-        F: FnMut(&TaskContext<'_>) -> TaskStatus + Send + 'static,
-    {
-        self.task(body)
-            .cpuset(cpuset)
-            .on_core(home)
-            .options(options)
-            .spawn()
-    }
-
     /// Common submission tail: enqueue the built task on its home queue and
     /// wake the cores that may run it. Shared by [`SubmitSpec::spawn`], the
     /// waitlist release path, and nothing else — requeues of *running*
@@ -906,14 +809,23 @@ impl TaskManager {
         }
         let mut batch = SCRATCH.take();
         batch.clear();
+        // The queue lock is released inside spill_lowest before the
+        // overflow lock is taken: the two are never held together.
         let taken = self.queues[home.index()].spill_lowest(quota, &mut batch);
-        let sock = &self.sockets[s];
-        for task in batch.drain(..) {
-            span_or(&sock.overflow_span, &task.cpuset);
-            sock.overflow.push(task);
-            sock.overflow_len.fetch_add(1, Ordering::Relaxed);
-        }
         if taken > 0 {
+            let sock = &self.sockets[s];
+            for task in &batch {
+                span_or(&sock.overflow_span, &task.cpuset);
+            }
+            // Span bits first, then the whole batch under one acquisition,
+            // then the depth hint: the order the spill_claim model checks.
+            {
+                let mut lanes = sock.overflow.lock();
+                for task in batch.drain(..) {
+                    lanes.push(task);
+                }
+            }
+            sock.overflow_len.fetch_add(taken, Ordering::Relaxed);
             sock.spilled.fetch_add(taken as u64, Ordering::Relaxed);
         }
         batch.clear();
@@ -922,7 +834,7 @@ impl TaskManager {
 
     /// Drains up to `max` tasks from `core`'s **own** socket overflow in
     /// pop-policy order (highest class first, EDF within a class — the
-    /// [`ClassLanes`] pop) and runs them: the socket rung of the
+    /// [`SeqLanes`] pop) and runs them: the socket rung of the
     /// core → socket → global walk. A popped task whose cpuset excludes
     /// `core` bounces to its home queue through the ordinary
     /// [`run_task`](Self::run_task) requeue path. Returns bodies run.
@@ -940,7 +852,9 @@ impl TaskManager {
         // ineligible bounces cannot spin this keypoint.
         let mut pass = sock.overflow_len.load(Ordering::Relaxed);
         while ran < max && pass > 0 {
-            let Some(task) = sock.overflow.pop() else {
+            // The guard is a temporary: the lock is released before the
+            // task runs.
+            let Some(task) = sock.overflow.lock().pop() else {
                 break;
             };
             pass -= 1;
@@ -1132,10 +1046,9 @@ impl TaskManager {
         for node in self.topo.path_to_root(core) {
             let queue = &self.queues[node.index()];
             depth += queue.len_hint();
-            if let Some((a, c)) = queue.lock_stats() {
-                acquisitions += a;
-                contended += c;
-            }
+            let (a, c) = queue.lock_stats();
+            acquisitions += a;
+            contended += c;
         }
         // The socket overflow is on this core's drain path too (the claim
         // rung of `schedule_batch`), so its depth sizes the budget alike.
@@ -1310,7 +1223,7 @@ impl TaskManager {
         let quota = depth.div_ceil(2).min(max.max(1));
         let mut ran = 0;
         for _ in 0..quota {
-            let Some(task) = sock.overflow.pop() else {
+            let Some(task) = sock.overflow.lock().pop() else {
                 break;
             };
             sock.overflow_len.fetch_sub(1, Ordering::Relaxed);
@@ -1452,10 +1365,9 @@ impl TaskManager {
             SignalPolicy::Cumulative => {
                 let (mut acquisitions, mut contended) = (0u64, 0u64);
                 for node in self.topo.path_to_root(core) {
-                    if let Some((a, c)) = self.queues[node.index()].lock_stats() {
-                        acquisitions += a;
-                        contended += c;
-                    }
+                    let (a, c) = self.queues[node.index()].lock_stats();
+                    acquisitions += a;
+                    contended += c;
                 }
                 if acquisitions == 0 {
                     0.0
@@ -1676,7 +1588,7 @@ impl TaskManager {
                 .queues
                 .iter()
                 .map(|q| {
-                    let (lock_acquisitions, lock_contended) = q.lock_stats().unwrap_or((0, 0));
+                    let (lock_acquisitions, lock_contended) = q.lock_stats();
                     QueueStats {
                         id: q.id,
                         level: q.level,
@@ -1783,7 +1695,6 @@ impl core::fmt::Debug for TaskManager {
         f.debug_struct("TaskManager")
             .field("topology", &self.topo.name())
             .field("queues", &self.queues.len())
-            .field("queue_backend", &self.config.queue_backend)
             .finish()
     }
 }
@@ -1794,8 +1705,7 @@ impl core::fmt::Debug for TaskManager {
 /// Defaults: runnable on **every** core (the Global Queue shape), placed on
 /// the smallest topology node covering its CPU set, one-shot,
 /// [`TaskClass::Interactive`], no deadline, no dependencies. Each method
-/// overrides one knob; the four deprecated `submit*` entry points are thin
-/// wrappers over this builder.
+/// overrides one knob.
 #[must_use = "a SubmitSpec does nothing until `.spawn()` is called"]
 pub struct SubmitSpec<'m> {
     mgr: &'m TaskManager,
@@ -2192,44 +2102,6 @@ mod tests {
     }
 
     #[test]
-    fn lockfree_backend_runs_tasks() {
-        let mgr = TaskManager::with_config(
-            presets::kwak().into(),
-            ManagerConfig {
-                queue_backend: QueueBackend::LockFree,
-                ..ManagerConfig::default()
-            },
-        );
-        let h = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::range(0..4))
-            .spawn();
-        assert!(mgr.schedule(2));
-        assert!(h.is_complete());
-        let qstats = &mgr.stats().queues;
-        assert!(qstats.iter().all(|q| q.lock_acquisitions == 0));
-    }
-
-    #[test]
-    fn mutex_backend_runs_tasks() {
-        let mgr = TaskManager::with_config(
-            presets::kwak().into(),
-            ManagerConfig {
-                queue_backend: QueueBackend::Mutex,
-                ..ManagerConfig::default()
-            },
-        );
-        let h = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::range(0..4))
-            .spawn();
-        assert!(mgr.schedule(2));
-        assert!(h.is_complete());
-        // The OS mutex is uninstrumented: no spinlock stats.
-        assert!(mgr.stats().queues.iter().all(|q| q.lock_acquisitions == 0));
-    }
-
-    #[test]
     fn latency_histogram_off_by_default() {
         let mgr = kwak_mgr();
         let h = mgr
@@ -2349,8 +2221,7 @@ mod tests {
         // An urgent polling task re-enqueues at its *class lane's* tail:
         // it still outranks lower classes on the next pop, but within the
         // Urgent lane it queues behind other urgent work instead of
-        // jumping the front (the PR-8 fix: requeue used to push urgent
-        // repeats at the steal-cursor front, starving same-class peers).
+        // jumping the front, where it would starve same-class peers.
         let mgr = kwak_mgr();
         let order = Arc::new(Mutex::new(Vec::new()));
         let o = order.clone();
@@ -2612,25 +2483,6 @@ mod tests {
         assert_eq!(mgr.stats().queues[home_q].pending, 1);
         assert!(mgr.schedule(1), "home core finishes it locally");
         assert!(h.is_complete());
-    }
-
-    #[test]
-    fn lockfree_backend_steals_too() {
-        let mgr = TaskManager::with_config(
-            presets::kwak().into(),
-            ManagerConfig {
-                queue_backend: QueueBackend::LockFree,
-                ..ManagerConfig::default()
-            },
-        );
-        let h = mgr
-            .task(|_| TaskStatus::Done)
-            .cpuset(CpuSet::from_iter([0, 1]))
-            .on_core(1)
-            .spawn();
-        assert!(mgr.schedule(0));
-        assert!(h.is_complete());
-        assert_eq!(mgr.stats().stolen_by_core[0], 1);
     }
 
     #[test]
@@ -2997,6 +2849,18 @@ mod tests {
     }
 
     #[test]
+    fn empty_scan_takes_no_locks() {
+        // Algorithm 2's point: a keypoint scanning a hierarchy of empty
+        // queues — the keypoint-hook fast path — acquires no lock at all.
+        let mgr = kwak_mgr();
+        for core in 0..mgr.topology().n_cores() {
+            assert!(!mgr.schedule(core));
+        }
+        let locks: u64 = mgr.stats().queues.iter().map(|q| q.lock_acquisitions).sum();
+        assert_eq!(locks, 0, "empty scan must not lock");
+    }
+
+    #[test]
     fn per_class_latency_absent_when_disabled() {
         let mgr = kwak_mgr();
         mgr.task(|_| TaskStatus::Done)
@@ -3004,85 +2868,5 @@ mod tests {
             .spawn();
         mgr.schedule(0);
         assert!(mgr.stats().latency_by_class.is_none());
-    }
-
-    /// The four deprecated entry points stay behaviourally identical to
-    /// their builder expansions. This module is their only caller.
-    #[allow(deprecated)]
-    mod deprecated_wrappers {
-        use super::*;
-
-        #[test]
-        fn submit_matches_builder() {
-            let mgr = kwak_mgr();
-            let h = mgr.submit(
-                |_| TaskStatus::Done,
-                CpuSet::single(0),
-                TaskOptions::oneshot(),
-            );
-            assert!(mgr.schedule(0));
-            assert!(h.is_complete());
-        }
-
-        #[test]
-        fn submit_boxed_matches_builder() {
-            let mgr = kwak_mgr();
-            let h = mgr.submit_boxed(
-                Box::new(|_| TaskStatus::Done),
-                CpuSet::single(0),
-                TaskOptions::repeat(),
-            );
-            assert!(mgr.schedule(0));
-            assert!(h.is_complete(), "repeat + Done completes");
-        }
-
-        #[test]
-        fn submit_global_matches_builder() {
-            let mgr = kwak_mgr();
-            let h = mgr.submit_global(|_| TaskStatus::Done, TaskOptions::oneshot());
-            assert!(mgr.schedule(15), "visible from any core");
-            assert!(h.is_complete());
-        }
-
-        #[test]
-        fn submit_on_matches_builder() {
-            let mgr = kwak_mgr();
-            let h = mgr.submit_on(
-                |_| TaskStatus::Done,
-                1,
-                CpuSet::from_iter([0, 1]),
-                TaskOptions::oneshot(),
-            );
-            let home_q = mgr.topology().core_node(1).index();
-            assert_eq!(mgr.stats().queues[home_q].pending, 1, "homed on core 1");
-            assert!(mgr.schedule(1));
-            assert!(h.is_complete());
-        }
-
-        #[test]
-        fn urgent_option_forwarder_reaches_the_urgent_lane() {
-            let mgr = kwak_mgr();
-            let order = Arc::new(Mutex::new(Vec::new()));
-            let o = order.clone();
-            mgr.submit(
-                move |_| {
-                    o.lock().push("normal");
-                    TaskStatus::Done
-                },
-                CpuSet::single(0),
-                TaskOptions::oneshot(),
-            );
-            let o = order.clone();
-            mgr.submit(
-                move |_| {
-                    o.lock().push("urgent");
-                    TaskStatus::Done
-                },
-                CpuSet::single(0),
-                TaskOptions::oneshot().urgent(),
-            );
-            mgr.schedule(0);
-            assert_eq!(*order.lock(), vec!["urgent", "normal"]);
-        }
     }
 }

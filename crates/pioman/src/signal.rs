@@ -13,8 +13,7 @@
 //! for the `phase_shift_ramp` ablation, not as a recommended mode.
 //!
 //! Everything here is plain atomics (no locks, no floats on the sampling
-//! path); CI runs this module's tests under Miri alongside the lock-free
-//! queue.
+//! path); CI runs this module's tests under Miri alongside the spinlock.
 
 use core::sync::atomic::{AtomicU64, Ordering};
 

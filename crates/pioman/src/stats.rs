@@ -30,7 +30,7 @@ pub struct QueueStats {
     pub executed: u64,
     /// Tasks currently enqueued (racy snapshot).
     pub pending: usize,
-    /// Spinlock acquisitions (0 for the lock-free backend).
+    /// Spinlock acquisitions on this queue.
     pub lock_acquisitions: u64,
     /// Acquisitions that found the lock held (contention indicator).
     pub lock_contended: u64,

@@ -25,8 +25,7 @@ use newmadeleine::{CommEngine, EngineConfig};
 use piom_des::rng::SplitMix64;
 use piom_des::{Sim, SimTime};
 use piom_net::{Message, Network, RxHandler};
-use pioman::lockfree::BACKGROUND_BYPASS_LIMIT;
-use pioman::{TaskClass, CLASS_COUNT};
+use pioman::{pick_class, TaskClass, CLASS_COUNT};
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -758,11 +757,10 @@ fn rdma_pull_fanin(p: &ScenarioParams, rec: &mut Recorder) {
 const QOS_CLASS_SHIFT: u32 = 61;
 const QOS_STAMP_MASK: u64 = (1 << QOS_CLASS_SHIFT) - 1;
 
-/// Per-responder class lanes, mirroring the scheduler's
-/// [`pioman::lockfree::ClassLanes`] semantics in the sequential DES:
-/// per-class FIFO lanes served in strict priority order, with the
-/// [`BACKGROUND_BYPASS_LIMIT`] anti-starvation credit hoisting a waiting
-/// `Background` request once enough higher-class requests bypassed it.
+/// Per-responder class lanes in the sequential DES: per-class FIFO lanes
+/// served by the scheduler's own cross-class policy ([`pick_class`]:
+/// strict priority with the [`pioman::BACKGROUND_BYPASS_LIMIT`]
+/// anti-starvation credit), so the matrix exercises the shipped policy.
 struct QosLanes {
     /// `(stamp, requester, size)` per parked request, one lane per class.
     lanes: [VecDeque<(u64, usize, usize)>; CLASS_COUNT],
@@ -771,33 +769,13 @@ struct QosLanes {
 }
 
 impl QosLanes {
-    /// [`pioman::lockfree::ClassLanes::pop`] on the simulated lanes:
-    /// class order honouring the credit, then the credit bookkeeping of
-    /// `note_served`.
+    /// Pops the request [`pick_class`] serves next and advances the credit.
     fn pop(&mut self) -> Option<(TaskClass, (u64, usize, usize))> {
-        let bg = TaskClass::Background;
-        let bg_waiting = !self.lanes[bg.index()].is_empty();
-        let order = if self.credit >= BACKGROUND_BYPASS_LIMIT && bg_waiting {
-            [
-                TaskClass::Background,
-                TaskClass::Urgent,
-                TaskClass::Interactive,
-                TaskClass::Bulk,
-            ]
-        } else {
-            TaskClass::ALL
-        };
-        for class in order {
-            if let Some(req) = self.lanes[class.index()].pop_front() {
-                if class == bg {
-                    self.credit = 0;
-                } else if bg_waiting {
-                    self.credit += 1;
-                }
-                return Some((class, req));
-            }
-        }
-        None
+        let waiting = std::array::from_fn(|i| !self.lanes[i].is_empty());
+        let (class, credit) = pick_class(self.credit, waiting)?;
+        self.credit = credit;
+        let req = self.lanes[class.index()].pop_front()?;
+        Some((class, req))
     }
 }
 
