@@ -63,8 +63,6 @@ pub const TAIL_GATED: &[&str] = &[
     "steal_half_backlog",
     "adaptive_batch_ramp",
     "park_wake_latency",
-    "phase_shift_ramp",
-    "phase_shift_ramp_cumulative",
     "qos_class_mix_spinlock",
     "qos_waitlist_chain",
     // The socket-tier scaling ladder: single-threaded deterministic
@@ -73,7 +71,6 @@ pub const TAIL_GATED: &[&str] = &[
     "steal_scaling_256",
     "steal_scaling_512",
     "steal_scaling_1024",
-    "phase_shift_ramp_auto",
 ];
 
 /// `true` if `name` is tagged [`TAIL_GATED`].
@@ -301,49 +298,4 @@ pub fn wait_until_parked(mgr: &TaskManager, core: usize) {
         );
         std::thread::yield_now();
     }
-}
-
-/// Quiet-history rounds of the phase-shift scenario: each submits and
-/// adaptively drains a full ramp on the target core, accumulating
-/// *uncontended* lock acquisitions. Sized so the history dominates the
-/// later burst by well over the window's decay constant, which is what
-/// makes the cumulative ratio ossify (see `EXPERIMENTS.md`).
-pub const PHASE_QUIET_ROUNDS: usize = 24;
-
-/// Contended rounds forming the burst phase of the phase-shift scenario.
-pub const PHASE_BURST_ROUNDS: usize = 4;
-
-/// Half-life (in samples) the phase-shift scenario configures, small
-/// enough that re-adaptation completes within one measured drain.
-pub const PHASE_HALF_LIFE: u32 = 8;
-
-/// Phase 1 of the phase-shift scenario: a long uncontended history of
-/// ramp drains on `core`.
-pub fn phase_quiet_history(mgr: &TaskManager, core: usize) {
-    for _ in 0..PHASE_QUIET_ROUNDS {
-        let handles = submit_ramp(mgr, core);
-        assert_eq!(adaptive_drain(mgr, core), ADAPTIVE_RAMP_LOAD);
-        debug_assert!(handles.iter().all(|h| h.is_complete()));
-    }
-}
-
-/// Phase 2 of the phase-shift scenario: a burst of real-thread contention
-/// on the Global Queue (which sits on every core's hierarchy path).
-pub fn phase_burst(mgr: &TaskManager) {
-    for _ in 0..PHASE_BURST_ROUNDS {
-        contended_round(mgr, false);
-    }
-}
-
-/// Sums `(lock_acquisitions, lock_contended)` over the queues on `core`'s
-/// hierarchy path — the same counters `adaptive_budget` reads.
-pub fn path_lock_stats(mgr: &TaskManager, core: usize) -> (u64, u64) {
-    let stats = mgr.stats();
-    mgr.topology()
-        .path_to_root(core)
-        .map(|node| {
-            let q = &stats.queues[node.index()];
-            (q.lock_acquisitions, q.lock_contended)
-        })
-        .fold((0, 0), |(a, c), (qa, qc)| (a + qa, c + qc))
 }

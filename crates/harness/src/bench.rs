@@ -16,9 +16,7 @@ use madmpi::{mtlat, MpiImpl};
 use piom_cpuset::CpuSet;
 use piom_topology::presets;
 use pioman::hist::Histogram;
-use pioman::{
-    ManagerConfig, Progression, ProgressionConfig, SignalPolicy, TaskManager, TaskStatus,
-};
+use pioman::{ManagerConfig, Progression, ProgressionConfig, TaskManager, TaskStatus};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -348,98 +346,6 @@ fn park_wake_latency(opts: &BenchOptions) -> BenchResult {
         result.mean_ns,
         bound_ns
     );
-    result
-}
-
-/// The contention phase-shift scenario, one arm per [`SignalPolicy`]:
-/// a long *uncontended* history (24 ramp drains), then a burst of real
-/// 4-thread contention on the Global Queue, then the timed post-shift
-/// ramp drains. The windowed arm asserts the signal's re-adaptation
-/// (burst registered, then decayed by the quiet drains); the cumulative
-/// arm asserts the opposite — the burst barely moves a ratio diluted by
-/// history, and whatever it did move never decays. See `EXPERIMENTS.md`
-/// ("Windowed vs cumulative contention ablation") for the recipe.
-///
-/// The two fixed arms pin `auto` off so [`scenarios::PHASE_HALF_LIFE`]
-/// stays the half-life actually in force; the `phase_shift_ramp_auto` arm
-/// turns the half-life auto-tuner loose on the same phase script and
-/// additionally asserts the tuned half-life landed inside the
-/// [`pioman::AUTO_HALF_LIFE_MIN`]`..=`[`pioman::AUTO_HALF_LIFE_MAX`]
-/// clamp — the re-adaptation-lag row of the auto-tuning satellite.
-fn phase_shift(
-    name: &'static str,
-    opts: &BenchOptions,
-    signal: SignalPolicy,
-    auto: bool,
-) -> BenchResult {
-    let mgr = TaskManager::with_config(
-        Arc::new(presets::kwak()),
-        ManagerConfig {
-            signal,
-            contention_half_life: scenarios::PHASE_HALF_LIFE,
-            auto_half_life: auto,
-            ..ManagerConfig::default()
-        },
-    );
-    scenarios::phase_quiet_history(&mgr, 0);
-    scenarios::phase_burst(&mgr);
-    // One budget computation folds the burst into the windowed signal.
-    let _ = mgr.adaptive_budget(0);
-    let rate_after_burst = mgr.contention_rate(0);
-    let (_, burst_contended) = scenarios::path_lock_stats(&mgr, 0);
-
-    let result = measure(
-        name,
-        opts,
-        || {
-            scenarios::submit_ramp(&mgr, 0);
-        },
-        || {
-            assert_eq!(
-                scenarios::adaptive_drain(&mgr, 0),
-                scenarios::ADAPTIVE_RAMP_LOAD,
-                "post-shift drain must complete"
-            );
-        },
-    );
-
-    // The ablation claim. Guarded on the burst having produced observable
-    // contention: a TTAS spinlock on an unloaded many-core host can win
-    // every race, in which case there is no phase change to react to.
-    if burst_contended > 0 {
-        let rate_final = mgr.contention_rate(0);
-        match signal {
-            SignalPolicy::Windowed => {
-                assert!(
-                    rate_after_burst > 0.0,
-                    "windowed signal failed to register the contention burst"
-                );
-                assert!(
-                    rate_final < rate_after_burst,
-                    "windowed signal failed to re-adapt: {rate_final} after \
-                     the quiet drains vs {rate_after_burst} right after the burst"
-                );
-            }
-            SignalPolicy::Cumulative => {
-                assert!(
-                    rate_final > 0.0,
-                    "cumulative ratio can never decay back to zero"
-                );
-                assert!(
-                    rate_final <= rate_after_burst,
-                    "cumulative ratio only dilutes, it never climbs while quiet"
-                );
-            }
-        }
-    }
-    if auto {
-        // Whatever the host weather, the tuner may never escape its clamp.
-        let hl = mgr.contention_half_life(0);
-        assert!(
-            (pioman::AUTO_HALF_LIFE_MIN..=pioman::AUTO_HALF_LIFE_MAX).contains(&hl),
-            "auto-tuned half-life {hl} escaped the clamp"
-        );
-    }
     result
 }
 
@@ -864,18 +770,10 @@ pub fn run_suite(opts: &BenchOptions) -> Vec<BenchResult> {
         steal_half_backlog(opts),
         adaptive_batch_ramp(opts),
         park_wake_latency(opts),
-        phase_shift("phase_shift_ramp", opts, SignalPolicy::Windowed, false),
-        phase_shift(
-            "phase_shift_ramp_cumulative",
-            opts,
-            SignalPolicy::Cumulative,
-            false,
-        ),
         sharded,
         shared_baseline,
         qos_class_mix(opts),
         qos_waitlist_chain(opts),
-        phase_shift("phase_shift_ramp_auto", opts, SignalPolicy::Windowed, true),
         steal_scaling("steal_scaling_256", opts, presets::dual_socket_256()),
         steal_scaling("steal_scaling_512", opts, presets::quad_socket_512()),
         steal_scaling("steal_scaling_1024", opts, presets::quad_socket_1024()),
@@ -928,13 +826,10 @@ mod tests {
             "steal_half_backlog",
             "adaptive_batch_ramp",
             "park_wake_latency",
-            "phase_shift_ramp",
-            "phase_shift_ramp_cumulative",
             "stats_sharding_contended",
             "stats_sharding_contended_baseline",
             "qos_class_mix_spinlock",
             "qos_waitlist_chain",
-            "phase_shift_ramp_auto",
             "steal_scaling_256",
             "steal_scaling_512",
             "steal_scaling_1024",

@@ -29,10 +29,9 @@
 //!   ([`HookPoint`], [`Progression`]);
 //! * beyond the paper, the scan is **batched** — a keypoint that finds a
 //!   backlog drains a whole pass under one lock acquisition
-//!   ([`TaskManager::schedule_batch`]), with the per-keypoint budget sized
-//!   adaptively from observed queue depth and a **phase-reactive windowed
-//!   contention signal** ([`TaskManager::adaptive_budget`],
-//!   [`ContentionWindow`], [`SignalPolicy`], [`BatchPolicy`]) — and idle
+//!   ([`TaskManager::schedule_batch`]), with the per-keypoint budget set
+//!   to the backlog visible on the core's drain path
+//!   ([`TaskManager::adaptive_budget`]) — and idle
 //!   cores **steal half** of the nearest eligible backlog by topological
 //!   distance instead of spinning, honoring each task's `CpuSet`
 //!   ([`ManagerConfig::steal`], [`SubmitSpec::on_core`]); parking is
@@ -92,20 +91,17 @@ mod completion;
 mod manager;
 mod progression;
 mod queue;
-mod signal;
 mod stats;
 mod task;
 
 pub use completion::{TaskError, TaskHandle};
 pub use hist::{HistSnapshot, Histogram, PercentileSummary};
 pub use manager::{
-    HookPoint, ManagerConfig, SubmitSpec, TaskManager, DEFAULT_BATCH, DEFAULT_CONTENTION_HALF_LIFE,
-    DEFAULT_CROSS_SOCKET_BACKLOG, DEFAULT_SPILL_THRESHOLD, DEFAULT_STEAL_WAKE_BACKLOG, MAX_BATCH,
-    MIN_BATCH,
+    HookPoint, ManagerConfig, SubmitSpec, TaskManager, DEFAULT_BATCH, DEFAULT_SPILL_THRESHOLD,
+    DEFAULT_STEAL_WAKE_BACKLOG, MAX_BATCH, MIN_BATCH,
 };
-pub use progression::{BatchPolicy, Progression, ProgressionConfig, MAX_PROBE_STRIKES};
+pub use progression::{Progression, ProgressionConfig, MAX_PROBE_STRIKES};
 pub use queue::{pick_class, QueueId, BACKGROUND_BYPASS_LIMIT, DL_LANES};
-pub use signal::{ContentionWindow, SignalPolicy, AUTO_HALF_LIFE_MAX, AUTO_HALF_LIFE_MIN, FP_ONE};
 pub use stats::{ManagerStats, QueueStats, SocketStats};
 pub use task::{Task, TaskClass, TaskContext, TaskOptions, TaskStatus, CLASS_COUNT};
 

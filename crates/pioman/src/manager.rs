@@ -2,7 +2,6 @@
 
 use crate::completion::Completion;
 use crate::queue::{QueueId, SeqLanes, TaskQueue, SPAN_WORDS};
-use crate::signal::{ContentionWindow, SignalPolicy};
 use crate::spinlock::SpinLock;
 use crate::stats::{ManagerStats, QueueStats, SocketStats};
 use crate::task::{Task, TaskClass, TaskContext, TaskFn, TaskOptions, TaskStatus, CLASS_COUNT};
@@ -26,14 +25,10 @@ pub const MIN_BATCH: usize = 4;
 /// backlog, so shutdown/park checks stay responsive.
 pub const MAX_BATCH: usize = 256;
 
-/// The fixed per-keypoint budget used when adaptivity is off
-/// ([`BatchPolicy::Fixed`](crate::BatchPolicy)), and the cap
-/// [`TaskManager::adaptive_budget`] applies to cores that mostly run dry.
+/// The budget [`TaskManager::adaptive_budget`] gives an empty path when
+/// stealing is on (room for a steal-half batch), and the cap it applies
+/// to cores that mostly run dry.
 pub const DEFAULT_BATCH: usize = 32;
-
-/// Default [`ManagerConfig::contention_half_life`]: the windowed contention
-/// signal halves the weight of history every this many active samples.
-pub const DEFAULT_CONTENTION_HALF_LIFE: u32 = 32;
 
 /// Default [`ManagerConfig::steal_wake_backlog`]: a queue reaching this
 /// depth at enqueue time triggers a steal-targeted wake-up
@@ -53,14 +48,6 @@ pub const DEFAULT_STEAL_WAKE_BACKLOG: usize = 8;
 /// ladder pins 16 so a 256-task backlog engages the tier.
 pub const DEFAULT_SPILL_THRESHOLD: usize = 512;
 
-/// Default [`ManagerConfig::cross_socket_backlog`]: the minimum observed
-/// backlog (queue depth or overflow depth) a *remote-socket* victim must
-/// show before a thief crosses the interconnect for it. `1` keeps the
-/// pre-hierarchy behaviour — any visible remote work is worth a probe —
-/// which suits latency-bound workloads; throughput-bound many-core setups
-/// raise it so only meaningful imbalances pay the cross-NUMA traffic.
-pub const DEFAULT_CROSS_SOCKET_BACKLOG: usize = 1;
-
 /// Task-manager construction options.
 #[derive(Debug, Clone)]
 pub struct ManagerConfig {
@@ -75,14 +62,6 @@ pub struct ManagerConfig {
     /// ([`TaskManager::park_probe`] always reports "park") and the
     /// backlog-triggered wake-ups.
     pub steal: bool,
-    /// Which contention signal sizes adaptive batch budgets (see
-    /// [`SignalPolicy`]): the decayed window (default) or the cumulative
-    /// PR-3 ratio kept for ablation.
-    pub signal: SignalPolicy,
-    /// Half-life, in active samples, of the windowed contention signal
-    /// ([`ContentionWindow::new`]). Smaller reacts faster to phase changes
-    /// but is noisier; ignored under [`SignalPolicy::Cumulative`].
-    pub contention_half_life: u32,
     /// Queue depth at enqueue time that triggers a steal-targeted wake of
     /// the nearest parked eligible worker ([`TaskManager::wake_for_steal`]).
     /// `usize::MAX` disables the escalation without disabling stealing.
@@ -110,30 +89,16 @@ pub struct ManagerConfig {
     /// spill into the socket overflow tier (see
     /// [`socket_overflow`](Self::socket_overflow)).
     pub spill_threshold: usize,
-    /// Minimum backlog a remote-socket victim (queue or overflow) must
-    /// show before a thief crosses the interconnect for it; intra-socket
-    /// victims are never gated. `1` = any visible remote work qualifies.
-    pub cross_socket_backlog: usize,
-    /// Auto-tune each core's contention-window half-life from the observed
-    /// inter-burst gap (EWMA), so the window tracks the workload's own
-    /// phase cadence instead of a compile-time guess. **On by default**;
-    /// disable to pin [`contention_half_life`](Self::contention_half_life)
-    /// exactly (the ablation benches do, so fixed-vs-auto is measurable).
-    pub auto_half_life: bool,
 }
 
 impl Default for ManagerConfig {
     fn default() -> Self {
         ManagerConfig {
             steal: true,
-            signal: SignalPolicy::default(),
-            contention_half_life: DEFAULT_CONTENTION_HALF_LIFE,
             steal_wake_backlog: DEFAULT_STEAL_WAKE_BACKLOG,
             latency_histogram: false,
             socket_overflow: true,
             spill_threshold: DEFAULT_SPILL_THRESHOLD,
-            cross_socket_backlog: DEFAULT_CROSS_SOCKET_BACKLOG,
-            auto_half_life: true,
         }
     }
 }
@@ -245,9 +210,6 @@ struct CoreState {
     /// tier (the scaling study's headline assertion), one poll per victim
     /// queue in the flat fallback.
     park_polls: AtomicU64,
-    /// Decayed contention window feeding
-    /// [`TaskManager::adaptive_budget`] under [`SignalPolicy::Windowed`].
-    window: ContentionWindow,
     /// Remotely-touched state, padded away from the owner-hot counters
     /// above (see the struct docs).
     remote: CachePadded<RemoteCoreState>,
@@ -282,7 +244,7 @@ struct RemoteCoreState {
 }
 
 impl CoreState {
-    fn new(contention_half_life: u32, auto_half_life: bool) -> Self {
+    fn new() -> Self {
         CoreState {
             executed: AtomicU64::new(0),
             executed_class: Default::default(),
@@ -293,11 +255,6 @@ impl CoreState {
             park_hits: AtomicU64::new(0),
             park_misses: AtomicU64::new(0),
             park_polls: AtomicU64::new(0),
-            window: if auto_half_life {
-                ContentionWindow::new_auto(contention_half_life)
-            } else {
-                ContentionWindow::new(contention_half_life)
-            },
             remote: CachePadded::new(RemoteCoreState {
                 parked: AtomicBool::new(false),
                 waker_present: AtomicBool::new(false),
@@ -456,8 +413,8 @@ pub struct TaskManager {
     topo: Arc<Topology>,
     /// One queue per topology node, indexed by node arena index.
     queues: Vec<TaskQueue>,
-    /// Per-core hot counters + parked flag + contention window, each core
-    /// on its own cache line (see [`CoreState`]).
+    /// Per-core hot counters + parked flag, each core on its own cache
+    /// line (see [`CoreState`]).
     cores: Vec<CachePadded<CoreState>>,
     /// Hook invocation counters, indexed by `HookPoint::index`.
     hook_counts: [AtomicU64; 3],
@@ -533,12 +490,7 @@ impl TaskManager {
             })
             .collect();
         let cores = (0..n_cores)
-            .map(|_| {
-                CachePadded::new(CoreState::new(
-                    config.contention_half_life,
-                    config.auto_half_life,
-                ))
-            })
+            .map(|_| CachePadded::new(CoreState::new()))
             .collect();
         let wakers = (0..n_cores).map(|_| Mutex::new(None)).collect();
 
@@ -993,29 +945,21 @@ impl TaskManager {
         ran
     }
 
-    /// Computes an adaptive per-keypoint task budget for `core`, replacing
-    /// the fixed [`DEFAULT_BATCH`]: sized from the observed depth of the
-    /// queues on `core`'s hierarchy path, widened when their locks show
-    /// contention, and capped low for cores whose steal history says they
-    /// mostly run dry. Always within [`MIN_BATCH`]`..=`[`MAX_BATCH`].
+    /// Computes the per-keypoint task budget for `core`: the backlog
+    /// visible on `core`'s drain path — the depth summed over its
+    /// hierarchy path plus its socket overflow — clamped to
+    /// [`MIN_BATCH`]`..=cap`. `cap` is [`MAX_BATCH`], or [`DEFAULT_BATCH`]
+    /// for a core whose steal probes outnumber its executions (it mostly
+    /// runs dry, so it keeps a small cap and parks quickly instead of
+    /// reserving budget it will not use).
     ///
-    /// The signals and the reasoning:
-    ///
-    /// * **queue depth** — the budget should cover the backlog actually
-    ///   visible, not a guess: a keypoint facing 3 tasks has no business
-    ///   reserving 32 slots, and one facing 200 should not need 7 passes;
-    /// * **the contention signal** on the path — when the queues' locks
-    ///   are fought over, each acquisition is expensive, so the batch
-    ///   widens to amortize more tasks per acquisition. Under the default
-    ///   [`SignalPolicy::Windowed`] the widening tracks an exponentially-
-    ///   decayed *recent* contention rate ([`ContentionWindow`], sampled
-    ///   here on every call), so a phase change moves budgets within a few
-    ///   half-lives; [`SignalPolicy::Cumulative`] keeps the PR-3 lifetime
-    ///   ratio for ablation;
-    /// * **`steal_attempts_by_core` vs executions** — a core that probes
-    ///   victims more often than it runs tasks is chronically starved;
-    ///   it keeps a small cap ([`DEFAULT_BATCH`]) so it parks quickly
-    ///   instead of reserving budget it will not use.
+    /// The budget covers the backlog actually visible: a keypoint facing
+    /// 3 tasks has no business reserving 32 slots, and one facing 200
+    /// should not need 7 passes. A larger budget would buy nothing, since
+    /// [`schedule_batch`](Self::schedule_batch) already caps each queue's
+    /// pass at that queue's depth on arrival and the overflow claim at the
+    /// overflow's depth: slots above the measured depth could only admit
+    /// tasks that land between this probe and the walk.
     ///
     /// A core whose own path is *empty* does not get the floor: its
     /// keypoint falls through to the steal-half probe, and a budget of
@@ -1026,7 +970,7 @@ impl TaskManager {
     /// runs nothing and parks just as fast).
     ///
     /// ```
-    /// use pioman::{TaskManager, TaskOptions, TaskStatus, DEFAULT_BATCH};
+    /// use pioman::{TaskManager, TaskStatus, DEFAULT_BATCH};
     /// use piom_cpuset::CpuSet;
     /// use piom_topology::presets;
     ///
@@ -1036,20 +980,15 @@ impl TaskManager {
     /// for _ in 0..100 {
     ///     mgr.task(|_| TaskStatus::Done).cpuset(CpuSet::single(0)).spawn();
     /// }
-    /// assert!(mgr.adaptive_budget(0) >= 100); // budget tracks the backlog
+    /// assert_eq!(mgr.adaptive_budget(0), 100); // budget = visible backlog
     /// ```
     pub fn adaptive_budget(&self, core: usize) -> usize {
         debug_assert!(core < self.topo.n_cores(), "core id out of range");
-        let mut depth = 0usize;
-        let mut acquisitions = 0u64;
-        let mut contended = 0u64;
-        for node in self.topo.path_to_root(core) {
-            let queue = &self.queues[node.index()];
-            depth += queue.len_hint();
-            let (a, c) = queue.lock_stats();
-            acquisitions += a;
-            contended += c;
-        }
+        let mut depth: usize = self
+            .topo
+            .path_to_root(core)
+            .map(|node| self.queues[node.index()].len_hint())
+            .sum();
         // The socket overflow is on this core's drain path too (the claim
         // rung of `schedule_batch`), so its depth sizes the budget alike.
         if self.socket_overflow_active {
@@ -1057,18 +996,6 @@ impl TaskManager {
                 .overflow_len
                 .load(Ordering::Relaxed);
         }
-        // Sample the window on *every* budget computation (even an empty
-        // path), so quiet keypoints keep decaying a stale contended-phase
-        // rate instead of freezing it until the next backlog.
-        let boost = match self.config.signal {
-            SignalPolicy::Windowed => {
-                self.cores[core].window.observe(acquisitions, contended);
-                self.cores[core].window.boost()
-            }
-            SignalPolicy::Cumulative => {
-                1 + (8 * contended).checked_div(acquisitions).unwrap_or(0) as usize
-            }
-        };
         if depth == 0 {
             return if self.config.steal {
                 DEFAULT_BATCH
@@ -1082,7 +1009,7 @@ impl TaskManager {
             probes > executed.saturating_add(MIN_BATCH as u64)
         };
         let cap = if starved { DEFAULT_BATCH } else { MAX_BATCH };
-        depth.saturating_mul(boost).clamp(MIN_BATCH, cap)
+        depth.clamp(MIN_BATCH, cap)
     }
 
     /// Runs at most one task visible from `core` (deepest queue first),
@@ -1135,9 +1062,8 @@ impl TaskManager {
     /// every victim inside the thief's own socket is exhausted before any
     /// remote socket is touched. At each remote socket the concentrated
     /// *overflow* is probed first ([`steal_overflow`](Self::
-    /// steal_overflow)), then the socket's member queues — and both are
-    /// gated on [`ManagerConfig::cross_socket_backlog`], so a thief only
-    /// crosses the interconnect for an imbalance worth the traffic.
+    /// steal_overflow)), then the socket's member queues; only victims
+    /// showing visible backlog are probed at all.
     fn steal_batch(&self, core: usize, max: usize) -> usize {
         if max == 0 {
             return 0;
@@ -1146,7 +1072,6 @@ impl TaskManager {
             .steal_attempts
             .fetch_add(1, Ordering::Relaxed);
         let own = self.core_socket[core];
-        let cross_gate = self.config.cross_socket_backlog.max(1);
         let mut batch = SCRATCH.take();
         let mut ran = 0;
         'sockets: for (s, order) in &self.steal_order[core] {
@@ -1157,7 +1082,6 @@ impl TaskManager {
                     break;
                 }
             }
-            let gate = if remote { cross_gate } else { 1 };
             let mut tier_start = 0;
             while tier_start < order.len() {
                 let distance = order[tier_start].1;
@@ -1171,7 +1095,7 @@ impl TaskManager {
                 let mut tier: Vec<(u32, usize)> = order[tier_start..tier_end]
                     .iter()
                     .map(|&(qi, _)| (qi, self.queues[qi as usize].len_hint()))
-                    .filter(|&(_, depth)| depth >= gate)
+                    .filter(|&(_, depth)| depth > 0)
                     .collect();
                 tier.sort_by_key(|&(qi, depth)| (core::cmp::Reverse(depth), qi));
                 for (qi, _) in tier {
@@ -1208,16 +1132,13 @@ impl TaskManager {
     /// Steal-half against a **remote socket's overflow**: takes up to half
     /// of the overflow's observed depth (bounded by `max`), runs the tasks
     /// whose cpuset admits `core` and bounces the rest to their home
-    /// queues. Gated on [`ManagerConfig::cross_socket_backlog`] and the
-    /// overflow span, so an ineligible or trivial overflow costs two
-    /// relaxed loads. Returns tasks stolen and executed.
+    /// queues. Gated on the overflow's depth and span, so an empty or
+    /// ineligible overflow costs two relaxed loads. Returns tasks stolen
+    /// and executed.
     fn steal_overflow(&self, core: usize, s: usize, max: usize) -> usize {
         let sock = &self.sockets[s];
         let depth = sock.overflow_len.load(Ordering::Relaxed);
-        if depth == 0
-            || depth < self.config.cross_socket_backlog.max(1)
-            || !span_admits(&sock.overflow_span, core)
-        {
+        if depth == 0 || !span_admits(&sock.overflow_span, core) {
             return 0;
         }
         let quota = depth.div_ceil(2).min(max.max(1));
@@ -1352,46 +1273,6 @@ impl TaskManager {
         sock.overflow_len.load(Ordering::Relaxed) > 0 && span_admits(&sock.overflow_span, core)
     }
 
-    /// The current contention signal for `core`'s hierarchy path, in
-    /// `0.0..=1.0`, **without** advancing the window: the decayed recent
-    /// rate under [`SignalPolicy::Windowed`], the lifetime
-    /// `contended / acquisitions` ratio under
-    /// [`SignalPolicy::Cumulative`]. Observability only — budgets read the
-    /// signal through [`adaptive_budget`](Self::adaptive_budget).
-    pub fn contention_rate(&self, core: usize) -> f64 {
-        debug_assert!(core < self.topo.n_cores(), "core id out of range");
-        match self.config.signal {
-            SignalPolicy::Windowed => self.cores[core].window.rate(),
-            SignalPolicy::Cumulative => {
-                let (mut acquisitions, mut contended) = (0u64, 0u64);
-                for node in self.topo.path_to_root(core) {
-                    let (a, c) = self.queues[node.index()].lock_stats();
-                    acquisitions += a;
-                    contended += c;
-                }
-                if acquisitions == 0 {
-                    0.0
-                } else {
-                    contended as f64 / acquisitions as f64
-                }
-            }
-        }
-    }
-
-    /// The half-life (in samples) currently governing `core`'s windowed
-    /// contention signal: the configured
-    /// [`contention_half_life`](ManagerConfig::contention_half_life) when
-    /// [`auto_half_life`](ManagerConfig::auto_half_life) is off, the
-    /// auto-tuner's latest pick (clamped to
-    /// [`AUTO_HALF_LIFE_MIN`](crate::AUTO_HALF_LIFE_MIN)`..=`
-    /// [`AUTO_HALF_LIFE_MAX`](crate::AUTO_HALF_LIFE_MAX)) when it is on.
-    /// Observability only — the `phase_shift_ramp_auto` bench row reads it
-    /// to pin the tuner inside its clamp.
-    pub fn contention_half_life(&self, core: usize) -> u64 {
-        debug_assert!(core < self.topo.n_cores(), "core id out of range");
-        self.cores[core].window.half_life()
-    }
-
     /// The steal-aware park check: `true` if some victim queue (a queue
     /// *not* on `core`'s hierarchy path) holds backlog that `core` may be
     /// able to steal, so the caller should run another keypoint instead of
@@ -1422,19 +1303,16 @@ impl TaskManager {
             return false;
         }
         let own = self.core_socket[core];
-        let cross_gate = self.config.cross_socket_backlog.max(1);
         for &s in &self.socket_order[core] {
             self.cores[core].park_polls.fetch_add(1, Ordering::Relaxed);
             let sock = &self.sockets[s as usize];
-            let overflow_visible = |gate: usize| {
-                self.socket_overflow_active
-                    && sock.overflow_len.load(Ordering::Relaxed) >= gate
-                    && span_admits(&sock.overflow_span, core)
-            };
+            let overflow_visible = self.socket_overflow_active
+                && sock.overflow_len.load(Ordering::Relaxed) > 0
+                && span_admits(&sock.overflow_span, core);
             if s == own {
                 // The own-socket overflow is directly claimable — no
                 // confirmation needed beyond its span.
-                if overflow_visible(1) {
+                if overflow_visible {
                     self.cores[core].park_hits.fetch_add(1, Ordering::Relaxed);
                     return true;
                 }
@@ -1452,9 +1330,8 @@ impl TaskManager {
                         }
                     }
                 }
-            } else if overflow_visible(cross_gate)
-                || (sock.pending.load(Ordering::Relaxed) >= cross_gate as i64
-                    && span_admits(&sock.span, core))
+            } else if overflow_visible
+                || (sock.pending.load(Ordering::Relaxed) > 0 && span_admits(&sock.span, core))
             {
                 self.cores[core].park_hits.fetch_add(1, Ordering::Relaxed);
                 return true;
@@ -2578,30 +2455,80 @@ mod tests {
         assert!(!qstats.steal_span.contains(2));
     }
 
+    /// Spawns single-core tasks on `core` up to each depth of 1, 3, 100
+    /// and 300, asserting at every step that the budget is exactly that
+    /// depth clamped to `MIN_BATCH..=MAX_BATCH`.
+    fn assert_budget_is_depth(mgr: &TaskManager, core: usize) {
+        let mut depth = 0;
+        for target in [1, 3, 100, 300] {
+            while depth < target {
+                mgr.task(|_| TaskStatus::Done)
+                    .cpuset(CpuSet::single(core))
+                    .spawn();
+                depth += 1;
+            }
+            assert_eq!(
+                mgr.adaptive_budget(core),
+                depth.clamp(MIN_BATCH, MAX_BATCH),
+                "budget at depth {depth}"
+            );
+        }
+    }
+
     #[test]
-    fn windowed_budget_matches_cumulative_shape_on_quiet_queues() {
-        // With no contention both policies must produce the same budgets:
-        // depth-sized, clamped, DEFAULT_BATCH on an empty stealing path.
-        let windowed = kwak_mgr();
-        let cumulative = TaskManager::with_config(
+    fn adaptive_budget_is_the_visible_depth() {
+        // Quiet queues: depth alone sizes the budget.
+        assert_budget_is_depth(&kwak_mgr(), 0);
+
+        // Socket-overflow tasks count: spill part of core 0's backlog and
+        // the budget still covers every task on the drain path.
+        let mgr = TaskManager::with_config(
             presets::kwak().into(),
             ManagerConfig {
-                signal: SignalPolicy::Cumulative,
+                spill_threshold: 16,
                 ..ManagerConfig::default()
             },
         );
-        for mgr in [&windowed, &cumulative] {
-            assert_eq!(mgr.adaptive_budget(0), DEFAULT_BATCH);
-            for _ in 0..100 {
-                mgr.task(|_| TaskStatus::Done)
-                    .cpuset(CpuSet::single(0))
-                    .spawn();
-            }
-            let b = mgr.adaptive_budget(0);
-            assert!((100..=MAX_BATCH).contains(&b), "budget {b} tracks depth");
+        for _ in 0..40 {
+            mgr.task(|_| TaskStatus::Done)
+                .cpuset(CpuSet::single(0))
+                .spawn();
         }
-        assert_eq!(windowed.contention_rate(0), 0.0);
-        assert_eq!(cumulative.contention_rate(0), 0.0);
+        let stats = mgr.stats();
+        let spilled: usize = stats.sockets.iter().map(|s| s.overflow_pending).sum();
+        assert!(spilled > 0, "the backlog spilled into the overflow");
+        assert!(stats.queues[mgr.topology().core_node(0).index()].pending < 40);
+        assert_eq!(mgr.adaptive_budget(0), 40);
+
+        // A real-thread burst on the Global Queue (on every core's path):
+        // four threads submit machine-wide tasks and drive their own
+        // keypoints until the queue's lock has been contended. Core 8 sits
+        // outside the burst, so its steal history leaves the cap at
+        // MAX_BATCH.
+        let mgr = kwak_mgr();
+        let global = &mgr.queues[mgr.topology().root().index()];
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+        std::thread::scope(|s| {
+            for core in 0..4 {
+                let mgr = &mgr;
+                s.spawn(move || {
+                    while global.lock_stats().1 == 0 && std::time::Instant::now() < deadline {
+                        let h = mgr
+                            .task(|_| TaskStatus::Done)
+                            .cpuset(CpuSet::first_n(16))
+                            .spawn();
+                        while !h.is_complete() {
+                            mgr.schedule(core);
+                        }
+                    }
+                });
+            }
+        });
+        assert!(
+            global.lock_stats().1 > 0,
+            "the burst never contended the lock"
+        );
+        assert_budget_is_depth(&mgr, 8);
     }
 
     #[test]
